@@ -266,6 +266,7 @@ def _parse_degrade_specs(specs) -> list:
     """Parse repeated ``--degrade SRC:DST:LOSS[:DELAY]`` flags into
     ``(src, dst, loss, delay)`` tuples (``delay`` may be ``None``)."""
     from .errors import ConfigurationError
+    from .net.faults import FaultCommand
 
     links = []
     for spec in specs:
@@ -281,14 +282,12 @@ def _parse_degrade_specs(specs) -> list:
                 f"bad --degrade spec {spec!r}; expected SRC:DST:LOSS[:DELAY]"
                 ", e.g. 0:1:0.3 or 0:1:0.3:0.02"
             )
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(
-                f"--degrade loss {loss} outside [0, 1] (spec {spec!r})"
-            )
-        if delay is not None and delay < 0:
-            raise ConfigurationError(
-                f"--degrade delay {delay} must be >= 0 (spec {spec!r})"
-            )
+        try:
+            FaultCommand("degrade", {
+                "src": src, "dst": dst, "loss": loss, "delay": delay,
+            })
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--degrade {spec!r}: {exc}") from None
         links.append((src, dst, loss, delay))
     return links
 

@@ -25,6 +25,9 @@ Beyond ``crash``, the protocol carries the full fault surface in
 :data:`FAULT_VERBS` — stalls, partitions, link degradation, loss storms,
 clock skew — every verb schedulable via ``at=`` exactly like ``crash``,
 which is what the declarative :mod:`repro.scenario` layer compiles to.
+Both runtimes inherit the verbs from :class:`FaultVerbs`, which turns
+each call into one :class:`~repro.net.faults.FaultCommand` and leaves
+only its delivery to the runtime.
 
 Crashes follow the paper's **crash-stop** model: a crashed process never
 recovers and is excluded from the correct set (no restart semantics).
@@ -40,12 +43,13 @@ are judged by exactly the same code.
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Optional, Protocol, Sequence, Tuple,
-    runtime_checkable,
+    Any, Dict, FrozenSet, Iterable, List, Optional, Protocol, Sequence,
+    Tuple, runtime_checkable,
 )
 
 from ..analysis import check_consensus, check_fd_class, extract_outcome
 from ..fd.classes import EVENTUALLY_CONSISTENT, FDClass
+from ..net.faults import FAULT_VERBS, FaultCommand
 from ..obs.reader import TraceSource, as_trace
 from ..obs.sinks import MemorySink
 from ..types import ProcessId, Time
@@ -53,18 +57,11 @@ from ..types import ProcessId, Time
 __all__ = [
     "ClusterAPI",
     "FAULT_VERBS",
+    "FaultVerbs",
     "standard_verdicts",
     "rsm_verdicts",
     "verdicts_ok",
 ]
-
-#: Every fault verb a :class:`ClusterAPI` implementation must carry — the
-#: conformance tests iterate this tuple and compare signatures across
-#: substrates, so the scenario layer can drive either one blindly.
-FAULT_VERBS = (
-    "crash", "stall", "resume", "partition", "heal", "isolate",
-    "degrade", "restore", "storm", "calm", "skew",
-)
 
 
 @runtime_checkable
@@ -182,6 +179,108 @@ class ClusterAPI(Protocol):
     def verdicts(self, channel: str = "fd", algo: str = "ec") -> Dict[str, Any]:
         """Machine-checked FD + consensus properties of the run."""
         ...
+
+
+class FaultVerbs:
+    """The :data:`FAULT_VERBS`, written once for every cluster runtime.
+
+    Each verb validates its arguments into a
+    :class:`~repro.net.faults.FaultCommand` at call time (so a bad
+    scenario fails before the run, not inside a timer) and hands it to
+    the runtime's one hook, ``_apply_fault(command, at)``.  Before
+    ``start()`` the commands queue instead; :meth:`_flush_faults` applies
+    them at start, every crash before any other fault.  A subclass sets
+    ``n``, ``_started``, ``_pending_crashes`` and ``_pending_faults``.
+    """
+
+    n: int
+    _started: bool
+    _pending_crashes: List[Tuple[ProcessId, Optional[Time]]]
+    _pending_faults: List[Tuple[Optional[Time], FaultCommand]]
+
+    def _apply_fault(self, command: FaultCommand, at: Optional[Time]) -> None:
+        raise NotImplementedError
+
+    def _fault(self, body: Dict[str, Any], at: Optional[Time]) -> None:
+        command = FaultCommand.from_dict(body, n=self.n)
+        if self._started:
+            self._apply_fault(command, at)
+        elif command.op == "crash":
+            self._pending_crashes.append((command.args["pid"], at))
+        else:
+            self._pending_faults.append((at, command))
+
+    def _flush_faults(self) -> None:
+        """Apply the pre-start queue: crashes first, then the rest."""
+        for pid, at in self._pending_crashes:
+            self._apply_fault(FaultCommand("crash", {"pid": pid}), at)
+        for at, command in self._pending_faults:
+            self._apply_fault(command, at)
+        self._pending_crashes.clear()
+        self._pending_faults.clear()
+
+    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        """Crash-stop node *pid* at cluster time *at* (``None`` = now)."""
+        self._fault({"op": "crash", "pid": pid}, at)
+
+    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        """Freeze node *pid* until :meth:`resume`."""
+        self._fault({"op": "stall", "pid": pid}, at)
+
+    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        """Unfreeze a stalled node."""
+        self._fault({"op": "resume", "pid": pid}, at)
+
+    def partition(
+        self,
+        groups: Sequence[Iterable[ProcessId]],
+        at: Optional[Time] = None,
+    ) -> None:
+        """Split the network into *groups*."""
+        self._fault({"op": "partition", "groups": groups}, at)
+
+    def heal(self, at: Optional[Time] = None) -> None:
+        """Remove the active network partition."""
+        self._fault({"op": "heal"}, at)
+
+    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
+        """Partition node *pid* away from everyone else."""
+        self._fault({"op": "isolate", "pid": pid}, at)
+
+    def degrade(
+        self,
+        src: ProcessId,
+        dst: ProcessId,
+        loss: Optional[float] = None,
+        delay: Optional[Time] = None,
+        at: Optional[Time] = None,
+    ) -> None:
+        """Make the directed link ``src -> dst`` lossy and/or slow."""
+        self._fault(
+            {"op": "degrade", "src": src, "dst": dst,
+             "loss": loss, "delay": delay},
+            at,
+        )
+
+    def restore(
+        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
+    ) -> None:
+        """Undo :meth:`degrade` for the directed link ``src -> dst``."""
+        self._fault({"op": "restore", "src": src, "dst": dst}, at)
+
+    def storm(self, loss: float, at: Optional[Time] = None) -> None:
+        """Start a cluster-wide message-loss storm (until :meth:`calm`)."""
+        self._fault({"op": "storm", "loss": loss}, at)
+
+    def calm(self, at: Optional[Time] = None) -> None:
+        """End the active message-loss storm."""
+        self._fault({"op": "calm"}, at)
+
+    def skew(
+        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
+    ) -> None:
+        """Step node *pid*'s clock by *offset* seconds (cumulative)."""
+        self._fault({"op": "skew", "pid": pid, "offset": offset}, at)
 
 
 def standard_verdicts(

@@ -41,11 +41,11 @@ process cluster does for itself.
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
-import warnings
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
 
 from ..broadcast.reliable import ReliableBroadcast
@@ -58,7 +58,7 @@ from ..fd.leader_based import LeaderBasedOmega
 from ..fd.ring import RingDetector
 from ..net.clock import AsyncioClock, SkewedClock, VirtualClock
 from ..net.codec import Codec, default_codec
-from ..net.faults import FaultPlan, FaultyTransport
+from ..net.faults import FaultCommand, FaultPlan, FaultyTransport
 from ..net.host import NodeHost
 from ..net.tcp import TCPTransport
 from ..net.transport import LoopbackHub, LoopbackTransport, Transport
@@ -67,10 +67,9 @@ from ..obs.live import StreamingSink
 from ..obs.metrics import MetricsReporter
 from ..obs.sinks import JsonlSink, MemorySink, TeeSink, TraceSink
 from ..sim.component import Component
-from ..sim.delays import FixedDelay
 from ..transform.c_to_p import CToPTransformation
 from ..types import ProcessId, Time
-from .api import rsm_verdicts, standard_verdicts
+from .api import FaultVerbs, rsm_verdicts, standard_verdicts
 
 __all__ = [
     "LocalCluster",
@@ -97,8 +96,14 @@ async def _maybe(value: Any) -> Any:
     return value
 
 
-class LocalCluster:
-    """*n* live nodes in one OS process (see module docstring)."""
+class LocalCluster(FaultVerbs):
+    """*n* live nodes in one OS process (see module docstring).
+
+    Faults apply to the cluster's shared :attr:`plan`: a ``stall`` drops
+    every message from or to the node (the in-process stand-in for
+    ``SIGSTOP``: peers observe the same silence), a ``crash`` is
+    :meth:`kill`, and ``skew`` steps one host's clock.
+    """
 
     def __init__(
         self,
@@ -107,7 +112,6 @@ class LocalCluster:
         clock: str = "wall",
         seed: int = 0,
         codec: Optional[Codec] = None,
-        fault_plan: Optional[FaultPlan] = None,
         bind_host: str = "127.0.0.1",
         trace_kinds: Optional[Iterable[str]] = None,
         trace_out: Optional[Union[str, Path]] = None,
@@ -183,29 +187,16 @@ class LocalCluster:
         # same object node 0 traces into, so combined/per-node JSONL
         # shipping sees the fault events too (not just the MemorySink).
         self._cluster_sink: TraceSink = host_traces[0]
-        if fault_plan is not None:
-            warnings.warn(
-                "the fault_plan= constructor kwarg is deprecated; every "
-                "LocalCluster now carries a fault plan — use the ClusterAPI "
-                "fault verbs (partition/degrade/storm/stall/...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.plan = fault_plan
-        else:
-            #: The always-on fault surface; idle plans cost one flag read
-            #: per send (see FaultPlan.active), so every transport is
-            #: wrapped unconditionally and the ClusterAPI fault verbs are
-            #: always live.
-            self.plan = FaultPlan(n, seed=seed)
+        #: The always-on fault surface; idle plans cost one flag read per
+        #: send (see FaultPlan.active), so every transport is wrapped
+        #: unconditionally and the ClusterAPI fault verbs are always live.
+        self.plan = FaultPlan(n, seed=seed)
         self._hub = LoopbackHub(self.clock) if transport == "loopback" else None
         self._started = False
-        # Crash-stop schedule accepted before start; flushed onto the clock
-        # the moment components start (ClusterAPI.crash contract).
+        # Fault verbs accepted before start (see FaultVerbs), flushed onto
+        # the clock the moment components start.
         self._pending_crashes: List[Tuple[ProcessId, Optional[Time]]] = []
-        # Fault-verb schedule accepted before start, same contract: a list
-        # of (at, fire-closure) pairs flushed by _flush_pending().
-        self._pending_faults: List[Tuple[Optional[Time], Callable[[], None]]] = []
+        self._pending_faults: List[Tuple[Optional[Time], FaultCommand]] = []
         # (time, value-factory) proposal rounds from deploy_standard_stack.
         self._pending_proposals: List[Time] = []
         #: Components per role when `deploy_standard_stack` was used.
@@ -451,24 +442,6 @@ class LocalCluster:
         self.clock.schedule_at(time, self.kill, pid)
 
     # ----------------------------------------------------------------- kills
-    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Crash-stop node *pid* at cluster time *at* (ClusterAPI contract).
-
-        ``at=None`` means "now" (immediately if running, at time zero if
-        the cluster has not started yet).  Before :meth:`start` the kill
-        is queued and flushed onto the clock at start, so whole failure
-        patterns can be scripted up front.  Crashed nodes never restart.
-        """
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        if not self._started:
-            self._pending_crashes.append((pid, at))
-            return
-        if at is None:
-            self.kill(pid)
-        else:
-            self.schedule_kill(pid, at)
-
     def kill(self, pid: ProcessId) -> None:
         """Kill node *pid*: crash its process and tear down its transport.
 
@@ -486,169 +459,37 @@ class LocalCluster:
             task.add_done_callback(self._closing.discard)
 
     # ----------------------------------------------------------- fault verbs
-    # Every verb shares crash()'s scheduling contract: `at=None` fires now,
-    # a time fires at that cluster instant, and calls before start() are
-    # queued and flushed the moment components start.  Arguments are
-    # validated eagerly (at call time) so a bad scenario fails before the
-    # run, not inside a clock callback.
+    # The verbs themselves come from FaultVerbs; this is where a command
+    # lands once the cluster runs: `at=None` fires now, a time fires at
+    # that cluster instant.
 
-    def _check_pid(self, pid: ProcessId) -> ProcessId:
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        return pid
-
-    def _fault(self, at: Optional[Time], fire: Callable[[], None]) -> None:
-        if not self._started:
-            self._pending_faults.append((at, fire))
-        elif at is None:
+    def _apply_fault(self, command: FaultCommand, at: Optional[Time]) -> None:
+        if command.op == "crash":
+            fire = functools.partial(self.kill, command.args["pid"])
+        else:
+            fire = functools.partial(self._fire_fault, command)
+        if at is None:
             fire()
         else:
             self.clock.schedule_at(at, fire)
 
-    def _record_fault(
-        self, kind: str, pid: Optional[ProcessId] = None, **data: Any
-    ) -> None:
-        self._cluster_sink.record(self.clock.now, kind, pid, **data)
+    def _fire_fault(self, command: FaultCommand) -> None:
+        # A clock step is the one per-node fault: it acts on the target
+        # host's clock and is narrated as that node's event.
+        pid = command.args["pid"] if command.scope == "clock" else None
+        clock = None if pid is None else self._host_clocks[pid]
+        kind, fields = command.apply(self.plan, clock)
+        self._cluster_sink.record(self.clock.now, kind, pid, **fields)
 
     def note_scenario(
         self, name: str, events: int, seed: Optional[int] = None
     ) -> None:
         """Record that a scenario schedule was armed (``scenario.run``)."""
         extra = {} if seed is None else {"seed": seed}
-        self._record_fault("scenario.run", name=name, events=events, **extra)
-
-    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Freeze node *pid*: every message from or to it is dropped until
-        :meth:`resume` — the in-process stand-in for ``SIGSTOP`` (peers
-        observe the same silence; the node stays in the correct set)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self.plan.stall(pid)
-            self._record_fault("scenario.stall", target=pid, signal="silence")
-
-        self._fault(at, fire)
-
-    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Unfreeze a stalled node (see :meth:`stall`)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self.plan.resume(pid)
-            self._record_fault("scenario.resume", target=pid, signal="silence")
-
-        self._fault(at, fire)
-
-    def partition(
-        self,
-        groups: Sequence[Iterable[ProcessId]],
-        at: Optional[Time] = None,
-    ) -> None:
-        """Split the network into *groups* (pids in no group form an
-        implicit final group); cross-group traffic is dropped both ways."""
-        frozen = [list(group) for group in groups]
-        seen: set = set()
-        for group in frozen:
-            for pid in group:
-                self._check_pid(pid)
-                if pid in seen:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                seen.add(pid)
-
-        def fire() -> None:
-            applied = self.plan.partition(*frozen)
-            self._record_fault("scenario.partition", groups=applied)
-
-        self._fault(at, fire)
-
-    def heal(self, at: Optional[Time] = None) -> None:
-        """Remove the active network partition."""
-
-        def fire() -> None:
-            self.plan.heal()
-            self._record_fault("scenario.heal")
-
-        self._fault(at, fire)
-
-    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Partition node *pid* away from everyone else."""
-        self._check_pid(pid)
-        self.partition([[pid]], at=at)
-
-    def degrade(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        loss: Optional[float] = None,
-        delay: Optional[Time] = None,
-        at: Optional[Time] = None,
-    ) -> None:
-        """Make the directed link ``src -> dst`` lossy and/or slow."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        if loss is not None and not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        if delay is not None and delay < 0:
-            raise ConfigurationError(f"negative delay {delay}")
-
-        def fire() -> None:
-            self.plan.degrade(
-                src, dst,
-                loss_prob=loss,
-                delay=None if delay is None else FixedDelay(delay),
-            )
-            self._record_fault(
-                "scenario.degrade", src=src, dst=dst, loss=loss, delay=delay
-            )
-
-        self._fault(at, fire)
-
-    def restore(
-        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
-    ) -> None:
-        """Undo :meth:`degrade` for the directed link ``src -> dst``."""
-        self._check_pid(src)
-        self._check_pid(dst)
-
-        def fire() -> None:
-            self.plan.restore(src, dst)
-            self._record_fault("scenario.restore", src=src, dst=dst)
-
-        self._fault(at, fire)
-
-    def storm(self, loss: float, at: Optional[Time] = None) -> None:
-        """Start a cluster-wide message-loss storm (until :meth:`calm`)."""
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-
-        def fire() -> None:
-            self.plan.storm(loss)
-            self._record_fault("scenario.storm", loss=loss)
-
-        self._fault(at, fire)
-
-    def calm(self, at: Optional[Time] = None) -> None:
-        """End the active message-loss storm."""
-
-        def fire() -> None:
-            self.plan.calm()
-            self._record_fault("scenario.calm")
-
-        self._fault(at, fire)
-
-    def skew(
-        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
-    ) -> None:
-        """Step node *pid*'s clock by *offset* seconds (cumulative)."""
-        self._check_pid(pid)
-
-        def fire() -> None:
-            self._host_clocks[pid].skew(offset)
-            self._record_fault(
-                "scenario.skew", pid=pid, target=pid, offset=offset
-            )
-
-        self._fault(at, fire)
+        self._cluster_sink.record(
+            self.clock.now, "scenario.run", None,
+            name=name, events=events, **extra,
+        )
 
     # ------------------------------------------------------------ postmortem
     def traces(self) -> MemorySink:
@@ -675,18 +516,7 @@ class LocalCluster:
     # -------------------------------------------------------------- internals
     def _flush_pending(self) -> None:
         """Move pre-start crash/fault/proposal schedules onto the clock."""
-        for pid, at in self._pending_crashes:
-            if at is None:
-                self.kill(pid)
-            else:
-                self.schedule_kill(pid, at)
-        self._pending_crashes.clear()
-        for at, fire in self._pending_faults:
-            if at is None:
-                fire()
-            else:
-                self.clock.schedule_at(at, fire)
-        self._pending_faults.clear()
+        self._flush_faults()
         for at in self._pending_proposals:
             self.clock.schedule_at(at, self._propose_all)
         self._pending_proposals.clear()

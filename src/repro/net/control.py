@@ -1,31 +1,35 @@
 """The per-node fault-control endpoint behind a process cluster's verbs.
 
-A :class:`LocalCluster` mutates its shared :class:`~repro.net.faults.FaultPlan`
-directly, but a :class:`~repro.proc.ProcessCluster` owns no objects inside
-its nodes — network faults must travel over the wire.  Each ``repro node``
-binds a :class:`FaultControlEndpoint`: a tiny UDP request/reply service
-(modeled on :class:`~repro.net.stats.StatsEndpoint`) that applies one JSON
-fault command per datagram to the node's own fault plan and clock, records
-the matching ``scenario.*`` trace event, and acks.
+A :class:`~repro.cluster.LocalCluster` applies each
+:class:`~repro.net.faults.FaultCommand` to its shared fault plan
+directly, but a :class:`~repro.proc.ProcessCluster` owns no objects
+inside its nodes — network faults must travel over the wire.  Each
+``repro node`` binds a :class:`FaultControlEndpoint`: a tiny UDP
+request/reply service (modeled on :class:`~repro.net.stats.StatsEndpoint`)
+that decodes one fault command per datagram, applies it to the node's own
+fault plan and clock, records the ``scenario.*`` event the command
+narrates, and acks.
 
-Commands are the network subset of the :class:`~repro.cluster.ClusterAPI`
-fault verbs — ``partition`` / ``heal`` / ``isolate`` / ``degrade`` /
-``restore`` / ``storm`` / ``calm`` / ``skew``:
+A datagram body is :meth:`FaultCommand.to_dict` — the same object a
+scenario event carries (minus its ``"t"``), and the keyword arguments of
+the matching :class:`~repro.cluster.ClusterAPI` verb:
 
 .. code-block:: json
 
     {"op": "partition", "groups": [[0], [1, 2]]}
     {"op": "degrade", "src": 0, "dst": 1, "loss": 0.3, "delay": 0.02}
-    {"op": "skew", "offset": 0.5}
+    {"op": "skew", "pid": 2, "offset": 0.5}
 
-The launcher broadcasts each network command to *every* node (each node's
-plan only governs its own sends, so a partition must be installed on both
-sides), while ``skew`` targets the one node whose clock steps.  Process
-verbs (``crash``/``stall``/``resume``) never touch this channel — they are
-OS signals, delivered by the launcher, precisely so a frozen or dead node
-cannot be asked to cooperate in its own failure.
+The launcher sends each command to the nodes :meth:`FaultCommand.targets`
+names: network-wide ops to *every* node (each node's plan only governs
+its own sends, so a partition must be installed on both sides),
+``degrade``/``restore`` to the link's sender, and ``skew`` to the one
+node whose clock steps.  Process verbs (``crash``/``stall``/``resume``)
+are rejected here — they are OS signals, delivered by the launcher,
+precisely so a frozen or dead node cannot be asked to cooperate in its
+own failure.  ``{"op": "ping"}`` is the launcher's readiness probe.
 
-One logical fault should appear once in the merged trace, so a command
+One logical fault should appear once in the merged trace, so a datagram
 carries an optional ``"record": true`` flag and only the flagged copy's
 receiver records the ``scenario.*`` event — the launcher flags exactly one
 node per broadcast.
@@ -38,16 +42,9 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.delays import FixedDelay
-from .faults import FaultPlan
+from .faults import FaultCommand, FaultPlan
 
 __all__ = ["FaultControlEndpoint", "send_fault_command"]
-
-#: Ops a fault-control endpoint accepts (the network fault verbs).
-CONTROL_OPS = (
-    "partition", "heal", "isolate", "degrade", "restore",
-    "storm", "calm", "skew",
-)
 
 
 class FaultControlEndpoint:
@@ -73,81 +70,38 @@ class FaultControlEndpoint:
         self.listen_host = listen_host
         self.port = port
         self.commands_applied = 0
-        self._narrate = False
         self.address: Optional[Tuple[str, int]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
 
-    # --------------------------------------------------------------- dispatch
+    # ------------------------------------------------------------------ apply
     def apply(self, command: Dict[str, Any]) -> None:
         """Apply one decoded fault command to this node.
 
         Raises :class:`ConfigurationError` on a malformed command; the
         datagram handler turns that into an error reply.
         """
-        op = command.get("op")
-        if op == "ping":  # readiness probe: no plan mutation, no event
+        command = dict(command)
+        if command.get("op") == "ping":  # readiness probe: no mutation
             return
-        if op not in CONTROL_OPS:
-            raise ConfigurationError(f"unknown fault op {op!r}")
-        try:
-            self._dispatch(op, command)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed fault command {command!r}: {exc}"
-            ) from exc
-        self.commands_applied += 1
-
-    def _dispatch(self, op: str, command: Dict[str, Any]) -> None:
-        plan = self.plan
-        self._narrate = bool(command.get("record", False))
-        if op == "partition":
-            groups = plan.partition(*command["groups"])
-            self._record("scenario.partition", groups=groups)
-        elif op == "isolate":
-            groups = plan.isolate(int(command["pid"]))
-            self._record("scenario.partition", groups=groups)
-        elif op == "heal":
-            plan.heal()
-            self._record("scenario.heal")
-        elif op == "degrade":
-            loss = command.get("loss")
-            delay = command.get("delay")
-            plan.degrade(
-                int(command["src"]), int(command["dst"]),
-                loss_prob=None if loss is None else float(loss),
-                delay=None if delay is None else FixedDelay(float(delay)),
-            )
-            self._record(
-                "scenario.degrade",
-                src=int(command["src"]), dst=int(command["dst"]),
-                loss=loss, delay=delay,
-            )
-        elif op == "restore":
-            plan.restore(int(command["src"]), int(command["dst"]))
-            self._record(
-                "scenario.restore",
-                src=int(command["src"]), dst=int(command["dst"]),
-            )
-        elif op == "storm":
-            plan.storm(float(command["loss"]))
-            self._record("scenario.storm", loss=float(command["loss"]))
-        elif op == "calm":
-            plan.calm()
-            self._record("scenario.calm")
-        elif op == "skew":  # the one verb that is inherently per-node
-            offset = float(command["offset"])
-            self.host.clock.skew(offset)
-            self._record(
-                "scenario.skew", target=self.host.pid, offset=offset,
-            )
-
-    def _record(self, kind: str, **data: Any) -> None:
         # One logical fault, one trace event: only the copy the launcher
         # flagged with "record" narrates (broadcasts reach every node).
-        if self._narrate:
-            self.host.trace.record(
-                self.host.clock.now, kind, self.host.pid, **data
+        narrate = bool(command.pop("record", False))
+        fault = FaultCommand.from_dict(command, n=self.plan.n)
+        if fault.scope == "process":
+            raise ConfigurationError(
+                f"{fault.op!r} is delivered as an OS signal, not a command"
             )
+        if fault.scope == "clock" and fault.args["pid"] != self.host.pid:
+            raise ConfigurationError(
+                f"{fault.op!r} for node {fault.args['pid']} sent to node "
+                f"{self.host.pid}"
+            )
+        kind, fields = fault.apply(self.plan, self.host.clock)
+        if narrate:
+            self.host.trace.record(
+                self.host.clock.now, kind, self.host.pid, **fields
+            )
+        self.commands_applied += 1
 
     # -------------------------------------------------------------- lifecycle
     async def bind(self) -> Tuple[str, int]:

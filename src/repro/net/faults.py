@@ -21,19 +21,31 @@ mutating verbs, and :meth:`FaultyTransport.send` forwards straight to the
 wrapped transport while it is ``False``.  That is what lets every cluster
 wrap its transports unconditionally — the fault surface is always
 reachable, and the no-fault hot path stays as fast as a bare transport.
+
+A :class:`FaultCommand` is one fault as data: an op from
+:data:`FAULT_VERBS` plus its arguments.  It is the single definition of
+the fault surface — the :class:`~repro.cluster.ClusterAPI` verbs build
+one, a scenario event carries one, and a process cluster ships one as a
+control datagram — so each op's arguments, validation, and
+``scenario.*`` narration are written once, here.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from ..errors import ConfigurationError
-from ..sim.delays import DelayModel
+from ..sim.delays import DelayModel, FixedDelay
 from ..types import ProcessId, Time
 from .transport import Transport
 
-__all__ = ["FaultPlan", "FaultyTransport"]
+__all__ = ["FAULT_VERBS", "FaultCommand", "FaultPlan", "FaultyTransport"]
 
 Pair = Tuple[ProcessId, ProcessId]
 
@@ -309,3 +321,217 @@ class FaultyTransport(Transport):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<FaultyTransport over {self.inner!r}>"
+
+
+# ------------------------------------------------------------- fault commands
+class _Spec(NamedTuple):
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+    #: Where the command acts: ``"process"`` — the node's OS process
+    #: (a process cluster delivers these as signals); ``"clock"`` — the
+    #: ``pid`` node's clock; ``"link"`` — the ``src`` node's plan (faults
+    #: inject at send time, so a directed link is the sender's business);
+    #: ``"network"`` — every node's plan.
+    scope: str
+
+
+#: op -> argument names and scope: the one definition of the fault surface.
+#: The argument names are the ClusterAPI verb's parameter names (minus
+#: ``at``), the scenario event's keys, and the control datagram's keys.
+FAULT_SPECS: Dict[str, _Spec] = {
+    "crash": _Spec(("pid",), (), "process"),
+    "stall": _Spec(("pid",), (), "process"),
+    "resume": _Spec(("pid",), (), "process"),
+    "partition": _Spec(("groups",), (), "network"),
+    "heal": _Spec((), (), "network"),
+    "isolate": _Spec(("pid",), (), "network"),
+    "degrade": _Spec(("src", "dst"), ("loss", "delay"), "link"),
+    "restore": _Spec(("src", "dst"), (), "link"),
+    "storm": _Spec(("loss",), (), "network"),
+    "calm": _Spec((), (), "network"),
+    "skew": _Spec(("pid", "offset"), (), "clock"),
+}
+
+#: Every fault verb a :class:`~repro.cluster.ClusterAPI` carries.
+FAULT_VERBS = tuple(FAULT_SPECS)
+
+
+def _pid(value: Any, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer pid, got {value!r}"
+        ) from None
+
+
+def _number(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} {value} is not finite")
+    return value
+
+
+def _delay(value: Any, what: str) -> float:
+    if _number(value, what) < 0:
+        raise ConfigurationError(f"negative delay {value}")
+    return value
+
+
+def _groups(value: Any, what: str) -> List[List[int]]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(group, (list, tuple)) for group in value
+    ):
+        raise ConfigurationError(
+            f"partition groups must be a list of pid lists, got {value!r}"
+        )
+    groups = [[_pid(pid, "partition member") for pid in g] for g in value]
+    seen: Set[int] = set()
+    for group in groups:
+        for pid in group:
+            if pid in seen:
+                raise ConfigurationError(f"pid {pid} in two groups")
+            seen.add(pid)
+    return groups
+
+
+#: arg name -> validator returning the normalized value.
+_CHECKS: Dict[str, Callable[[Any, str], Any]] = {
+    "pid": _pid,
+    "src": _pid,
+    "dst": _pid,
+    "groups": _groups,
+    "loss": lambda value, what: _check_loss(_number(value, what)),
+    "delay": _delay,
+    "offset": _number,
+}
+
+
+@dataclass(frozen=True)
+class FaultCommand:
+    """One fault as data: *op* (a :data:`FAULT_VERBS` name) plus *args*.
+
+    Construction validates eagerly — unknown op, missing or unknown
+    args, malformed pids and groups, loss outside [0, 1], negative or
+    non-finite delays and offsets are all :class:`ConfigurationError`.
+    :meth:`to_dict` is the wire and scenario form (``{"op": ..., **args}``);
+    :meth:`apply` performs the fault and returns its narration.
+    """
+
+    op: str
+    args: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        spec = FAULT_SPECS.get(self.op)
+        if spec is None:
+            raise ConfigurationError(
+                f"unknown scenario op {self.op!r}; known ops: "
+                + ", ".join(sorted(FAULT_SPECS))
+            )
+        missing = [key for key in spec.required if key not in self.args]
+        if missing:
+            raise ConfigurationError(
+                f"scenario op {self.op!r} missing arg(s): {missing}"
+            )
+        unknown = sorted(set(self.args) - set(spec.required + spec.optional))
+        if unknown:
+            raise ConfigurationError(
+                f"scenario op {self.op!r} got unknown arg(s): {unknown}"
+            )
+        args = {
+            key: (
+                value if value is None and key in spec.optional
+                else _CHECKS[key](value, key)
+            )
+            for key, value in self.args.items()
+        }
+        object.__setattr__(self, "args", args)
+
+    @classmethod
+    def from_dict(
+        cls, data: Dict[str, Any], n: Optional[int] = None
+    ) -> "FaultCommand":
+        """Validate ``{"op": ..., **args}``; with *n*, pids must be < *n*."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a fault command must be an object, got {data!r}"
+            )
+        args = dict(data)
+        command = cls(args.pop("op", None), args)  # type: ignore[arg-type]
+        if n is not None:
+            command.check_pids(n)
+        return command
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"op": self.op, **self.args}
+
+    def check_pids(self, n: int) -> None:
+        """Reject any pid the command names outside ``range(n)``."""
+        named = [self.args[k] for k in ("pid", "src", "dst") if k in self.args]
+        named += [p for group in self.args.get("groups", ()) for p in group]
+        for pid in named:
+            if not 0 <= pid < n:
+                raise ConfigurationError(
+                    f"scenario op {self.op!r} names pid {pid}, out of range "
+                    f"for n={n}"
+                )
+
+    @property
+    def scope(self) -> str:
+        """Where the command acts (see :data:`FAULT_SPECS`)."""
+        return FAULT_SPECS[self.op].scope
+
+    def targets(self, n: int) -> List[ProcessId]:
+        """The nodes that must apply the command in an *n*-node cluster."""
+        if self.scope == "network":
+            return list(range(n))
+        return [self.args["src" if self.scope == "link" else "pid"]]
+
+    def apply(
+        self, plan: FaultPlan, clock: Any = None
+    ) -> Tuple[str, Dict[str, Any]]:
+        """Perform the fault on *plan* (or, for ``skew``, on the target
+        node's *clock*) and return its ``scenario.*`` narration as
+        ``(kind, fields)``.  ``crash`` has no plan-level effect: the
+        cluster kills the node itself."""
+        op = self.op
+        args = self.args
+        if op in ("stall", "resume"):
+            getattr(plan, op)(args["pid"])
+            return f"scenario.{op}", {
+                "target": args["pid"], "signal": "silence",
+            }
+        if op == "partition":
+            groups = plan.partition(*args["groups"])
+            return "scenario.partition", {"groups": groups}
+        if op == "isolate":
+            groups = plan.isolate(args["pid"])
+            return "scenario.partition", {"groups": groups}
+        if op in ("heal", "calm"):
+            getattr(plan, op)()
+            return f"scenario.{op}", {}
+        if op == "degrade":
+            loss, delay = args.get("loss"), args.get("delay")
+            plan.degrade(
+                args["src"], args["dst"], loss_prob=loss,
+                delay=None if delay is None else FixedDelay(delay),
+            )
+            return "scenario.degrade", {
+                "src": args["src"], "dst": args["dst"],
+                "loss": loss, "delay": delay,
+            }
+        if op == "restore":
+            plan.restore(args["src"], args["dst"])
+            return "scenario.restore", {
+                "src": args["src"], "dst": args["dst"],
+            }
+        if op == "storm":
+            plan.storm(args["loss"])
+            return "scenario.storm", {"loss": args["loss"]}
+        if op == "skew":
+            clock.skew(args["offset"])
+            return "scenario.skew", {
+                "target": args["pid"], "offset": args["offset"],
+            }
+        raise ConfigurationError(f"{op!r} is applied by the cluster itself")

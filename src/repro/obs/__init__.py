@@ -11,8 +11,8 @@ that stream end to end:
   validate against it, and ``docs/traces.md`` is generated from it.
 * :mod:`repro.obs.sinks` — the :class:`TraceSink` protocol with three
   implementations: :class:`MemorySink` (the in-memory, query-friendly log
-  that :mod:`repro.analysis` consumes; re-exported as
-  :class:`repro.sim.trace.Trace` for compatibility), :class:`JsonlSink`
+  that :mod:`repro.analysis` consumes; also exported as
+  :class:`repro.sim.Trace`, its historical name), :class:`JsonlSink`
   (line-buffered streaming JSONL writer with per-node clock provenance),
   and :class:`TeeSink` (fan-out to several sinks).
 * :mod:`repro.obs.reader` — the JSONL reader and :func:`as_trace`, the

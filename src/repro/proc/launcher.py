@@ -32,6 +32,7 @@ Restarts are deliberately unsupported: a killed pid stays killed
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import signal
 import subprocess
@@ -39,13 +40,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..cluster.api import rsm_verdicts, standard_verdicts
+from ..cluster.api import FaultVerbs, rsm_verdicts, standard_verdicts
 from ..net.control import send_fault_command
+from ..net.faults import FaultCommand
 from ..obs.events import TraceEvent
 from ..obs.merge import MergeReport, merge_traces
 from ..obs.reader import TraceFile, iter_trace_events
@@ -81,7 +81,7 @@ def _read_trace_lenient(path: Path) -> TraceFile:
     )
 
 
-class ProcessCluster:
+class ProcessCluster(FaultVerbs):
     """*n* ``repro node`` subprocesses under the unified cluster API.
 
     Parameters mirror :class:`~repro.cluster.local.LocalCluster` where
@@ -170,12 +170,11 @@ class ProcessCluster:
         self._logs: Dict[ProcessId, Any] = {}
         self._killed: set = set()
         self._kill_walls: Dict[ProcessId, float] = {}
-        self._pending_crashes: List[tuple] = []
-        self._crash_timers: List[asyncio.TimerHandle] = []
-        # Fault-verb machinery, mirroring the crash machinery: pre-start
-        # verbs queue as (at, fire) pairs, live ones arm loop timers.
-        self._pending_faults: List[Tuple[Optional[Time], Callable[[], None]]] = []
-        self._fault_timers: List[asyncio.TimerHandle] = []
+        # Fault verbs accepted before start (see FaultVerbs); live ones
+        # arm loop timers.
+        self._pending_crashes: List[Tuple[ProcessId, Optional[Time]]] = []
+        self._pending_faults: List[Tuple[Optional[Time], FaultCommand]] = []
+        self._timers: List[asyncio.TimerHandle] = []
         # In-flight control-command broadcasts (referenced so the tasks
         # survive GC; reaped in stop()) and their terminal failures.
         self._control_tasks: set = set()
@@ -260,13 +259,7 @@ class ProcessCluster:
             )
         await self._wait_control_ready()
         self._t0 = time.monotonic()
-        loop = asyncio.get_running_loop()
-        for pid, at in self._pending_crashes:
-            self._arm_crash(loop, pid, at)
-        self._pending_crashes.clear()
-        for at, fire in self._pending_faults:
-            self._arm_fault(loop, at, fire)
-        self._pending_faults.clear()
+        self._flush_faults()
 
     async def _wait_control_ready(self, budget: float = 10.0) -> None:
         """Block until every node's fault-control endpoint answers a ping
@@ -313,28 +306,29 @@ class ProcessCluster:
         """Wall seconds since the nodes were spawned (0 before start)."""
         return 0.0 if self._t0 is None else time.monotonic() - self._t0
 
-    def crash(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """``kill -9`` node *pid* at wall offset *at* from cluster start.
+    # ----------------------------------------------------------- fault verbs
+    # The verbs come from FaultVerbs.  `at` is a wall offset from cluster
+    # start (None = now).  Process verbs are OS signals, so the victim
+    # does not cooperate: crash is SIGKILL; stall/resume are a real
+    # SIGSTOP/SIGCONT, freezing the process mid-instruction, timers,
+    # sockets and all (it stays in the correct set, unlike a crash).
+    # Every other verb is a control datagram (``command.to_dict()``) sent
+    # to the fault-control endpoint of each node that must apply it.
 
-        ``at=None`` means now.  Callable before :meth:`start` (the whole
-        failure pattern is usually scripted up front) or while running.
-        Killed nodes never restart.
-        """
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        if not self._started:
-            self._pending_crashes.append((pid, at))
-            return
-        self._arm_crash(asyncio.get_running_loop(), pid, at)
-
-    def _arm_crash(
-        self, loop: asyncio.AbstractEventLoop, pid: ProcessId, at: Optional[Time]
-    ) -> None:
+    def _apply_fault(self, command: FaultCommand, at: Optional[Time]) -> None:
+        pid = command.args.get("pid")
+        if command.op == "crash":
+            fire = functools.partial(self._kill_now, pid)
+        elif command.scope == "process":
+            fire = functools.partial(self._signal_now, pid, command.op)
+        else:
+            fire = functools.partial(self._send_control, command)
         delay = 0.0 if at is None else max(0.0, at - self.elapsed)
         if delay <= 0.0:
-            self._kill_now(pid)
+            fire()
         else:
-            self._crash_timers.append(loop.call_later(delay, self._kill_now, pid))
+            loop = asyncio.get_running_loop()
+            self._timers.append(loop.call_later(delay, fire))
 
     def _kill_now(self, pid: ProcessId) -> None:
         """The actual ``kill -9``: no warning, no cleanup on the victim."""
@@ -345,54 +339,23 @@ class ProcessCluster:
         self._killed.add(pid)
         self._kill_walls[pid] = time.time()
 
-    # ----------------------------------------------------------- fault verbs
-    # Same scheduling contract as crash(): `at` is a wall offset from
-    # cluster start (None = now), callable before start.  Process verbs
-    # (stall/resume) are OS signals — the victim does not cooperate;
-    # network verbs are JSON commands broadcast to every node's
-    # fault-control endpoint (each node's plan only governs its own
-    # sends, so both sides of a partition must install it).
-
-    def _check_pid(self, pid: ProcessId) -> ProcessId:
-        if not 0 <= pid < self.n:
-            raise ConfigurationError(f"pid {pid} out of range for n={self.n}")
-        return pid
-
-    def _fault(self, at: Optional[Time], fire: Callable[[], None]) -> None:
-        if not self._started:
-            self._pending_faults.append((at, fire))
-            return
-        self._arm_fault(asyncio.get_running_loop(), at, fire)
-
-    def _arm_fault(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        at: Optional[Time],
-        fire: Callable[[], None],
-    ) -> None:
-        delay = 0.0 if at is None else max(0.0, at - self.elapsed)
-        if delay <= 0.0:
-            fire()
-        else:
-            self._fault_timers.append(loop.call_later(delay, fire))
-
-    def _signal_now(self, pid: ProcessId, sig: int, verb: str) -> None:
-        """Deliver SIGSTOP/SIGCONT to a still-living node."""
+    def _signal_now(self, pid: ProcessId, verb: str) -> None:
+        """Deliver SIGSTOP (``stall``) or SIGCONT (``resume``) to a
+        still-living node."""
         proc = self.procs.get(pid)
         if proc is None or proc.poll() is not None or pid in self._killed:
             return
-        os.kill(proc.pid, sig)
         if verb == "stall":
+            os.kill(proc.pid, signal.SIGSTOP)
             self._stalled.add(pid)
         else:
+            os.kill(proc.pid, signal.SIGCONT)
             self._stalled.discard(pid)
         self._signal_walls.append((pid, verb, time.time()))
 
-    def _send_control(
-        self, command: Dict[str, Any], targets: Iterable[ProcessId]
-    ) -> None:
+    def _send_control(self, command: FaultCommand) -> None:
         task = asyncio.ensure_future(
-            self._broadcast_control(command, list(targets))
+            self._broadcast_control(command.to_dict(), command.targets(self.n))
         )
         self._control_tasks.add(task)
         task.add_done_callback(self._control_tasks.discard)
@@ -435,101 +398,6 @@ class ProcessCluster:
         """Record that a scenario schedule was armed (``scenario.run``)."""
         self._scenario_meta = (name, events, seed)
 
-    def stall(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Freeze node *pid* with a real ``SIGSTOP`` until :meth:`resume`.
-
-        The process stops executing mid-instruction — timers, sockets and
-        all — which is the crash-recovery-adjacent fault the paper's
-        detectors must eventually forgive: peers see silence, then the
-        node comes back with its state intact (it stays in the correct
-        set, unlike a :meth:`crash`)."""
-        self._check_pid(pid)
-        self._fault(at, lambda: self._signal_now(pid, signal.SIGSTOP, "stall"))
-
-    def resume(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Unfreeze a stalled node with ``SIGCONT``."""
-        self._check_pid(pid)
-        self._fault(at, lambda: self._signal_now(pid, signal.SIGCONT, "resume"))
-
-    def partition(
-        self,
-        groups: Sequence[Iterable[ProcessId]],
-        at: Optional[Time] = None,
-    ) -> None:
-        """Split the network into *groups* (pids in no group form an
-        implicit final group); cross-group traffic is dropped both ways."""
-        frozen = [list(group) for group in groups]
-        seen: set = set()
-        for group in frozen:
-            for pid in group:
-                self._check_pid(pid)
-                if pid in seen:
-                    raise ConfigurationError(f"pid {pid} in two groups")
-                seen.add(pid)
-        command = {"op": "partition", "groups": frozen}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def heal(self, at: Optional[Time] = None) -> None:
-        """Remove the active network partition."""
-        self._fault(at, lambda: self._send_control({"op": "heal"}, self.pids))
-
-    def isolate(self, pid: ProcessId, at: Optional[Time] = None) -> None:
-        """Partition node *pid* away from everyone else."""
-        self._check_pid(pid)
-        command = {"op": "isolate", "pid": pid}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def degrade(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        loss: Optional[float] = None,
-        delay: Optional[Time] = None,
-        at: Optional[Time] = None,
-    ) -> None:
-        """Make the directed link ``src -> dst`` lossy and/or slow."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        if loss is not None and not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        if delay is not None and delay < 0:
-            raise ConfigurationError(f"negative delay {delay}")
-        command = {
-            "op": "degrade", "src": src, "dst": dst,
-            "loss": loss, "delay": delay,
-        }
-        # A directed link is the sender's business alone: faults inject at
-        # send time, so only src's plan needs the override.
-        self._fault(at, lambda: self._send_control(command, [src]))
-
-    def restore(
-        self, src: ProcessId, dst: ProcessId, at: Optional[Time] = None
-    ) -> None:
-        """Undo :meth:`degrade` for the directed link ``src -> dst``."""
-        self._check_pid(src)
-        self._check_pid(dst)
-        command = {"op": "restore", "src": src, "dst": dst}
-        self._fault(at, lambda: self._send_control(command, [src]))
-
-    def storm(self, loss: float, at: Optional[Time] = None) -> None:
-        """Start a cluster-wide message-loss storm (until :meth:`calm`)."""
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError(f"loss_prob {loss} outside [0, 1]")
-        command = {"op": "storm", "loss": loss}
-        self._fault(at, lambda: self._send_control(command, self.pids))
-
-    def calm(self, at: Optional[Time] = None) -> None:
-        """End the active message-loss storm."""
-        self._fault(at, lambda: self._send_control({"op": "calm"}, self.pids))
-
-    def skew(
-        self, pid: ProcessId, offset: Time, at: Optional[Time] = None
-    ) -> None:
-        """Step node *pid*'s clock by *offset* seconds (cumulative)."""
-        self._check_pid(pid)
-        command = {"op": "skew", "offset": offset}
-        self._fault(at, lambda: self._send_control(command, [pid]))
-
     @property
     def stalled_pids(self) -> frozenset:
         """Pids currently frozen by :meth:`stall`."""
@@ -563,12 +431,9 @@ class ProcessCluster:
         if self._stopped:
             return
         self._stopped = True
-        for timer in self._crash_timers:
+        for timer in self._timers:
             timer.cancel()
-        self._crash_timers.clear()
-        for timer in self._fault_timers:
-            timer.cancel()
-        self._fault_timers.clear()
+        self._timers.clear()
         if self._control_tasks:
             await asyncio.gather(
                 *tuple(self._control_tasks), return_exceptions=True

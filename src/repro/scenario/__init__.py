@@ -22,12 +22,11 @@ on ``cluster``, ``proc run``, and ``load``.  See ``docs/scenarios.md``.
 
 from __future__ import annotations
 
-from .events import OP_SPECS, Scenario, ScenarioEvent
+from .events import Scenario, ScenarioEvent
 from .generator import generate_scenario
 from .runner import apply_scenario, run_scenario
 
 __all__ = [
-    "OP_SPECS",
     "Scenario",
     "ScenarioEvent",
     "generate_scenario",

@@ -1,7 +1,8 @@
 """The scenario DSL: timed fault events and the :class:`Scenario` document.
 
-A scenario is a *compiled schedule*: a list of ``(time, op, args)``
-triples over the :data:`~repro.cluster.api.FAULT_VERBS` surface, plus the
+A scenario is a *compiled schedule*: a list of timed
+:class:`~repro.net.faults.FaultCommand`\\ s (the
+:data:`~repro.cluster.api.FAULT_VERBS` surface as data), plus the
 run parameters the schedule was built for (``n``, ``period``,
 ``duration``, ``propose_after``).  It is declarative — nothing executes
 here; :func:`repro.scenario.runner.apply_scenario` turns each event into
@@ -28,124 +29,75 @@ testable statement about :meth:`Scenario.to_json`:
       "seed": null
     }
 
-Validation is eager and structural: unknown ops, missing/unknown args,
-out-of-range pids (when ``n`` is set), and out-of-bounds probabilities
-are all :class:`~repro.errors.ConfigurationError` at construction, not
-mid-run.
+Each event's body (everything but ``"t"``) is exactly the fault
+command's :meth:`~repro.net.faults.FaultCommand.to_dict` — the same
+object a process cluster sends as a control datagram, and the keyword
+arguments of the matching verb.  Validation is therefore the fault
+command's, eager and structural: unknown ops, missing/unknown args,
+out-of-range pids (when ``n`` is set), out-of-bounds probabilities and
+non-finite times, delays and offsets are all
+:class:`~repro.errors.ConfigurationError` at construction, not mid-run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ConfigurationError
+from ..net.faults import FaultCommand
 from ..types import Time
 
-__all__ = ["ScenarioEvent", "Scenario", "OP_SPECS"]
-
-#: op -> (required arg names, optional arg names).  The args mirror the
-#: matching ClusterAPI verb's parameters (minus ``at``, which is the
-#: event's ``t``).
-OP_SPECS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "crash": (("pid",), ()),
-    "stall": (("pid",), ()),
-    "resume": (("pid",), ()),
-    "isolate": (("pid",), ()),
-    "partition": (("groups",), ()),
-    "heal": ((), ()),
-    "degrade": (("src", "dst"), ("loss", "delay")),
-    "restore": (("src", "dst"), ()),
-    "storm": (("loss",), ()),
-    "calm": ((), ()),
-    "skew": (("pid", "offset"), ()),
-}
+__all__ = ["ScenarioEvent", "Scenario"]
 
 
-def _check_loss(value: Any, what: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{what} {value} outside [0, 1]")
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioEvent:
-    """One timed fault: apply *op* with *args* at cluster time *time*."""
+    """One timed fault: apply *command* at cluster time *time*.
+
+    Built as ``ScenarioEvent(time, op, args)``; *op* and *args* are
+    validated into a :class:`~repro.net.faults.FaultCommand`.
+    """
 
     time: Time
-    op: str
-    args: Dict[str, Any] = field(default_factory=dict)
+    command: FaultCommand
 
-    def __post_init__(self) -> None:
-        if self.op not in OP_SPECS:
+    def __init__(
+        self, time: Time, op: str, args: Optional[Dict[str, Any]] = None
+    ) -> None:
+        if not (isinstance(time, (int, float)) and math.isfinite(time)
+                and time >= 0):
             raise ConfigurationError(
-                f"unknown scenario op {self.op!r}; known ops: "
-                + ", ".join(sorted(OP_SPECS))
+                f"scenario event time {time} must be finite and >= 0"
             )
-        if self.time < 0:
-            raise ConfigurationError(
-                f"scenario event time {self.time} must be >= 0"
-            )
-        required, optional = OP_SPECS[self.op]
-        missing = [key for key in required if key not in self.args]
-        if missing:
-            raise ConfigurationError(
-                f"scenario op {self.op!r} missing arg(s): {missing}"
-            )
-        unknown = sorted(set(self.args) - set(required) - set(optional))
-        if unknown:
-            raise ConfigurationError(
-                f"scenario op {self.op!r} got unknown arg(s): {unknown}"
-            )
-        # Value-level checks that do not need n (pid ranges are checked by
-        # Scenario, which knows the cluster size).
-        if "loss" in self.args and self.args["loss"] is not None:
-            _check_loss(self.args["loss"], "loss")
-        if "delay" in self.args and self.args["delay"] is not None:
-            if float(self.args["delay"]) < 0:
-                raise ConfigurationError(
-                    f"negative delay {self.args['delay']}"
-                )
-        if self.op == "partition":
-            groups = self.args["groups"]
-            if not isinstance(groups, (list, tuple)) or not all(
-                isinstance(group, (list, tuple)) for group in groups
-            ):
-                raise ConfigurationError(
-                    "partition groups must be a list of pid lists, got "
-                    f"{groups!r}"
-                )
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "command", FaultCommand(op, dict(args or {})))
 
-    def pids(self) -> List[int]:
-        """Every pid the event names (for range validation)."""
-        out: List[int] = []
-        for key in ("pid", "src", "dst"):
-            if key in self.args:
-                out.append(self.args[key])
-        if self.op == "partition":
-            for group in self.args["groups"]:
-                out.extend(group)
-        return out
+    @property
+    def op(self) -> str:
+        return self.command.op
+
+    @property
+    def args(self) -> Dict[str, Any]:
+        return self.command.args
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"t": self.time, "op": self.op, **self.args}
+        return {"t": self.time, **self.command.to_dict()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioEvent":
-        data = dict(data)
+        args = dict(data)
         try:
-            time = data.pop("t")
-            op = data.pop("op")
+            time = args.pop("t")
+            op = args.pop("op")
         except KeyError as exc:
             raise ConfigurationError(
                 f"scenario event needs 't' and 'op' keys, got {data!r}"
             ) from exc
-        # JSON round-trips partition groups as lists of lists; normalize
-        # numeric arg types so to_json stays canonical.
-        return cls(time=float(time), op=str(op), args=data)
+        return cls(time=float(time), op=op, args=args)
 
 
 _SCENARIO_KEYS = (
@@ -184,12 +136,7 @@ class Scenario:
         self.events.sort(key=lambda event: event.time)
         if self.n is not None:
             for event in self.events:
-                for pid in event.pids():
-                    if not 0 <= pid < self.n:
-                        raise ConfigurationError(
-                            f"scenario op {event.op!r} at t={event.time} "
-                            f"names pid {pid}, out of range for n={self.n}"
-                        )
+                event.command.check_pids(self.n)
         if self.duration is not None:
             late = [e for e in self.events if e.time > self.duration]
             if late:

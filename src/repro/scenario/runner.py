@@ -22,31 +22,9 @@ from typing import Any, Dict, Optional
 from ..cluster.api import ClusterAPI, verdicts_ok
 from ..errors import ConfigurationError
 from ..types import Time
-from .events import Scenario, ScenarioEvent
+from .events import Scenario
 
 __all__ = ["apply_scenario", "run_scenario"]
-
-
-def _apply_event(cluster: ClusterAPI, event: ScenarioEvent) -> None:
-    args = event.args
-    at = event.time
-    if event.op in ("crash", "stall", "resume", "isolate"):
-        getattr(cluster, event.op)(args["pid"], at=at)
-    elif event.op == "partition":
-        cluster.partition(args["groups"], at=at)
-    elif event.op in ("heal", "calm"):
-        getattr(cluster, event.op)(at=at)
-    elif event.op == "degrade":
-        cluster.degrade(
-            args["src"], args["dst"],
-            loss=args.get("loss"), delay=args.get("delay"), at=at,
-        )
-    elif event.op == "restore":
-        cluster.restore(args["src"], args["dst"], at=at)
-    elif event.op == "storm":
-        cluster.storm(args["loss"], at=at)
-    else:  # skew (OP_SPECS is closed; ScenarioEvent validated the op)
-        cluster.skew(args["pid"], args["offset"], at=at)
 
 
 def apply_scenario(cluster: ClusterAPI, scenario: Scenario) -> None:
@@ -74,7 +52,8 @@ def apply_scenario(cluster: ClusterAPI, scenario: Scenario) -> None:
     if note is not None:
         note(scenario.name, len(scenario.events), seed=scenario.seed)
     for event in scenario.events:
-        _apply_event(cluster, event)
+        # The command's args are the verb's keyword arguments, by name.
+        getattr(cluster, event.op)(**event.args, at=event.time)
 
 
 async def run_scenario(

@@ -9,17 +9,13 @@ from repro.obs import JsonlSink, MemorySink, TeeSink, TraceEvent
 
 
 # ---------------------------------------------------------------------------
-# MemorySink — the class historically known as repro.sim.trace.Trace
+# MemorySink — the class historically known as repro.sim.Trace
 # ---------------------------------------------------------------------------
 
 def test_sim_trace_shim_still_exports_the_old_names():
-    from repro.sim.trace import Trace, TraceEvent as ShimEvent
+    from repro.sim import Trace
 
     assert Trace is MemorySink
-    assert ShimEvent is TraceEvent
-    from repro.sim import Trace as PackageTrace
-
-    assert PackageTrace is MemorySink
 
 
 def test_memory_sink_record_select_last_count():

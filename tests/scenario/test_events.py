@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.cluster import FAULT_VERBS
 from repro.errors import ConfigurationError
-from repro.scenario import OP_SPECS, Scenario, ScenarioEvent
-
-
-# ------------------------------------------------------------ the op space
-def test_op_specs_cover_exactly_the_fault_verbs():
-    """The scenario op space IS the ClusterAPI fault-verb surface."""
-    assert set(OP_SPECS) == set(FAULT_VERBS)
+from repro.scenario import Scenario, ScenarioEvent
 
 
 # ------------------------------------------------------- event validation

@@ -82,7 +82,7 @@ class TestParser:
         assert _parse_degrade_specs(["0:1:0.5"]) == [(0, 1, 0.5, None)]
         assert _parse_degrade_specs(["2:0:0.3:0.02"]) == [(2, 0, 0.3, 0.02)]
         assert _parse_degrade_specs([]) == []
-        for bad in ("0:1", "x:1:0.5", "0:1:2.0", "0:1:0.5:-1"):
+        for bad in ("0:1", "x:1:0.5", "0:1:2.0", "0:1:0.5:-1", "0:1:0.5:nan"):
             with pytest.raises(ConfigurationError):
                 _parse_degrade_specs([bad])
 
