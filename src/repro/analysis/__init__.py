@@ -1,5 +1,6 @@
 """Trace analysis: failure-detector and consensus property checkers, and
-quantitative run metrics (messages/phases/rounds, detection latency)."""
+quantitative run metrics (messages/phases/rounds, detection latency), and
+the QoS engine (:class:`IncrementalQoS`, :func:`qos_report`)."""
 
 from .consensus_properties import (
     ConsensusOutcome,
@@ -34,7 +35,13 @@ from .metrics import (
     rounds_after_system,
     steady_state_message_rate,
 )
-from .qos import Mistake, QoSReport, qos_report, transformation_bound
+from .qos import (
+    IncrementalQoS,
+    Mistake,
+    QoSReport,
+    qos_report,
+    transformation_bound,
+)
 from .report import collect_results, render_report
 from .stats import Summary, geometric_mean, summarize
 from .timeline import leader_timeline, round_timeline, suspicion_timeline
@@ -67,6 +74,7 @@ __all__ = [
     "rounds_after",
     "rounds_after_system",
     "steady_state_message_rate",
+    "IncrementalQoS",
     "Mistake",
     "QoSReport",
     "qos_report",

@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs.reader import TraceSource, as_trace
 from ..types import ProcessId, Time
-from .fd_properties import build_histories
+from .qos import IncrementalQoS
 
 __all__ = [
     "messages_per_round",
@@ -196,20 +196,8 @@ def detection_latency(
     channel: str = "fd",
 ) -> Optional[Time]:
     """Time from the crash until *every* correct process suspects the
-    crashed process permanently (None if some never does)."""
-    histories = build_histories(trace, channel=channel)
-    worst: Time = crash_time
-    for pid in correct:
-        # Start of the final (permanent) suspicion period at this process.
-        permanent_since: Optional[Time] = None
-        for time, suspected, _ in histories.get(pid, []):
-            if crashed_pid in suspected:
-                if permanent_since is None:
-                    permanent_since = time
-            else:
-                permanent_since = None
-        if permanent_since is None:
-            return None
-        if permanent_since > worst:
-            worst = permanent_since
-    return worst - crash_time
+    crashed process permanently (None if some never does): the
+    :class:`~repro.analysis.qos.IncrementalQoS` fold of *trace*, then its
+    detection rule."""
+    engine = IncrementalQoS.from_trace(trace, channel=channel)
+    return engine.detection(crashed_pid, crash_time, correct)

@@ -27,6 +27,7 @@ per instance, not once per command" contract extended down to frames.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, List, Optional, Sequence
 
@@ -231,8 +232,13 @@ class MsgpackCodec(Codec):
         return [prefix + self._dumps(msg.dst) + tail for msg in msgs]
 
 
+@functools.lru_cache(maxsize=None)
 def msgpack_extension_available() -> bool:
-    """Whether the C :mod:`msgpack` extension is importable on this host."""
+    """Whether the C :mod:`msgpack` extension is importable on this host.
+
+    Answered once per process: a failing import is not cached by Python,
+    and clients and frontends ask on every construction and negotiation.
+    """
     try:
         import msgpack  # type: ignore[import-not-found]  # noqa: F401
     except ImportError:

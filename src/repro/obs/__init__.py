@@ -26,9 +26,9 @@ that stream end to end:
   sentinel all round-trip exactly).
 * :mod:`repro.obs.live` — the live telemetry plane: a
   :class:`StreamingSink` shipping trace events to a TCP collector as the
-  run happens, the :class:`LiveCollector` ingesting several node streams
-  onto one time base, and :class:`IncrementalQoS`, the online
-  event-at-a-time twin of :func:`repro.analysis.qos.qos_report`.
+  run happens, and the :class:`LiveCollector` ingesting several node
+  streams onto one time base and folding them through the QoS engine of
+  :mod:`repro.analysis.qos` as they arrive.
 * :mod:`repro.obs.spans` — per-command causal spans: groups the
   ``span.*`` stage events one client command leaves across the service
   path (queue → propose → decide → apply → reply) into per-stage
@@ -74,7 +74,6 @@ from .metrics import (
 # cycle during `import repro.net`.  Same pattern as repro.net's moved-name
 # shims: resolve on first attribute access, when both packages exist.
 _LIVE_NAMES = (
-    "IncrementalQoS",
     "LiveCollector",
     "StreamingSink",
     "parse_ship_address",

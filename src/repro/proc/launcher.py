@@ -480,11 +480,21 @@ class ProcessCluster(FaultVerbs):
         injects one ``crash`` event per kill at the kill's wall time
         rebased onto the merged time base — the property checkers then
         see the same failure-pattern shape an in-process run records.
+
+        The stream ends when the first correct node finished its run
+        (:meth:`run_end`): every node runs ``duration`` from its own
+        start, so a later-started survivor outlives an earlier one and
+        rightly suspects the peer that went silent by exiting.  That
+        tail is teardown, not the failure pattern, and is left out.
         """
         if self._trace_cache is not None:
             return self._trace_cache
         report = self.merge_report()
-        events = list(report.trace)
+        end = self.run_end()
+        events = [
+            event for event in report.trace
+            if end is None or event.time <= end
+        ]
         base = min(f.epoch_wall for f in report.files)
         for pid, wall in self._kill_walls.items():
             events.append(
@@ -522,6 +532,21 @@ class ProcessCluster(FaultVerbs):
         merged.extend(events)
         self._trace_cache = merged
         return merged
+
+    def run_end(self) -> Optional[Time]:
+        """When the first correct node finished its run, on the merged
+        time base (``None`` if no correct node shipped a trace).
+
+        A node's trace time zero is its start and it exits ``duration``
+        later, so its stop is its merge offset plus ``duration``.
+        """
+        report = self.merge_report()
+        stops = [
+            report.offsets[str(trace_file.node)] + self.duration
+            for trace_file in report.files
+            if trace_file.node in self.correct_pids
+        ]
+        return min(stops) if stops else None
 
     def save_merged(self, path: Union[str, Path]) -> Path:
         """Write the merged stream (synthetic ``crash`` events included)

@@ -10,8 +10,11 @@ from repro.net.codec import (
     JsonCodec,
     MsgpackCodec,
     default_codec,
+    msgpack_extension_available,
 )
 from repro.sim.message import Message
+
+from . import payload_id
 
 
 def _codecs():
@@ -48,7 +51,7 @@ PAYLOADS = [
 
 
 @pytest.mark.parametrize("codec", _codecs(), ids=lambda c: c.name)
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", PAYLOADS, ids=payload_id)
 def test_payload_round_trip_exact(codec, payload):
     decoded = codec.decode_payload(codec.encode_payload(payload))
     assert decoded == payload
@@ -115,3 +118,19 @@ def test_msgpack_is_gated_not_installed():
         assert "msgpack" in str(exc)
     else:
         assert codec.name == "msgpack"
+
+
+def test_msgpack_extension_probe_runs_once(monkeypatch):
+    import builtins
+
+    first = msgpack_extension_available()
+    lookups = []
+    real_import = builtins.__import__
+
+    def spy(name, *args, **kwargs):
+        lookups.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", spy)
+    assert msgpack_extension_available() is first
+    assert "msgpack" not in lookups

@@ -30,6 +30,8 @@ from repro.net import mpack
 from repro.sim.message import Message
 from repro.svc.protocol import Reply, Request, encode_frame, read_frame
 
+from . import payload_id
+
 JSON = JsonCodec()
 MSGPACK = MsgpackCodec()
 
@@ -60,7 +62,7 @@ PAYLOADS = [
 ]
 
 
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", PAYLOADS, ids=payload_id)
 def test_cross_codec_payload_parity(payload):
     via_json = JSON.decode_payload(JSON.encode_payload(payload))
     via_msgpack = MSGPACK.decode_payload(MSGPACK.encode_payload(payload))
@@ -68,7 +70,7 @@ def test_cross_codec_payload_parity(payload):
     assert type(via_msgpack) is type(via_json) is type(payload)
 
 
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", PAYLOADS, ids=payload_id)
 def test_cross_codec_message_parity(payload):
     msg = Message(
         src=1, dst=2, channel="rsm.c3", payload=payload,
@@ -191,7 +193,7 @@ def test_wire_preferences_track_extension():
     not msgpack_extension_available(),
     reason="C msgpack extension not installed; pure fallback in use",
 )
-@pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+@pytest.mark.parametrize("payload", PAYLOADS, ids=payload_id)
 def test_pure_and_ext_are_byte_interchangeable(payload):
     import msgpack  # noqa: F401  (guarded by skipif)
 

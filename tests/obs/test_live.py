@@ -6,13 +6,13 @@ Three layers under test:
 * :class:`StreamingSink` — never blocks the node it observes: bounded
   buffer with counted drops, kind filtering, reconnect-with-backoff, and
   at-most-once accounting across torn connections.
-* :class:`IncrementalQoS` — the online twin of
-  :func:`repro.analysis.qos.qos_report`.  The headline contract is exact
-  report equality (``==`` on the dataclass) against the offline analyzer
-  over the committed example traces *and* over synthetic streams that
-  exercise the crash-truncation rules, where live ingestion is hardest:
-  the crash that reclassifies a suspicion can arrive later in the stream
-  than the ``fd`` event that opened it.
+* :class:`~repro.analysis.qos.IncrementalQoS` — the QoS engine the
+  collector folds streams into: golden reports on the committed example
+  traces, synthetic streams that exercise the crash-truncation rules
+  (where live ingestion is hardest: the crash that reclassifies a
+  suspicion can arrive later in the stream than the ``fd`` event that
+  opened it), and report invariance under any interleaving of node
+  streams.
 * :class:`LiveCollector` — multi-stream ingestion: epoch rebasing onto
   the first stream's clock, payload round-tripping, and torn-stream
   accounting for garbage and truncated frames.
@@ -22,18 +22,13 @@ import asyncio
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis import qos_report
-from repro.analysis.qos import Mistake
+from repro.analysis import IncrementalQoS, Mistake
 from repro.errors import ConfigurationError
 from repro.net.frame import write_frame
-from repro.obs import MemorySink, merge_traces
-from repro.obs.live import (
-    IncrementalQoS,
-    LiveCollector,
-    StreamingSink,
-    parse_ship_address,
-)
+from repro.obs import merge_traces
+from repro.obs.live import LiveCollector, StreamingSink, parse_ship_address
 
 EXAMPLE_TRACES = sorted(
     (Path(__file__).parents[2] / "examples" / "traces").glob("node-*.jsonl")
@@ -135,38 +130,71 @@ def test_shipper_reconnects_after_a_torn_stream():
         == recorded
 
 
-# ------------------------------------------------- online QoS: parity
+# ------------------------------------------------- online QoS
 
 @pytest.fixture(scope="module")
 def example_merge():
     return merge_traces(EXAMPLE_TRACES)
 
 
+#: Network sends per channel inside the cost window of the committed
+#: example traces, for each period (the window start depends on it).
+EXAMPLE_SENDS = {
+    5.0: {"fd.omega": 24, "fd.suspects": 48, "fdp": 36},
+    0.5: {
+        "consensus": 3, "consensus.rb": 4,
+        "fd.omega": 26, "fd.suspects": 51, "fdp": 39,
+    },
+}
+
+
 @pytest.mark.parametrize("period", [None, 5.0, 0.5])
 def test_incremental_qos_matches_offline_on_example_traces(
     example_merge, period
 ):
-    """Field-for-field report equality with the offline analyzer over the
-    committed multi-node example traces (which include a crash)."""
+    """Golden report of the committed multi-node example traces (which
+    include a crash), folded event by event."""
     online = IncrementalQoS()
     for event in example_merge.trace:
         online.observe_event(event)
-    offline = qos_report(example_merge.trace, period=period)
-    assert online.report(period=period) == offline
     assert online.event_count == len(example_merge.trace.events)
+    report = online.report(period=period)
+    assert report.n == 3
+    assert report.end_time == pytest.approx(80.55)
+    assert report.correct == frozenset({1, 2})
+    assert report.crashes == {0: pytest.approx(2.2)}
+    assert report.detection == {0: pytest.approx(13.8)}
+    assert report.mistakes == []
+    assert report.mistake_rate == 0.0
+    assert report.leader_stabilized_at == pytest.approx(15.55)
+    assert report.stable_leader == 1
+    if period is None:
+        assert report.period is None and report.cost_window is None
+        assert report.message_cost == {}
+        return
+    # Window: leader settled and p0 detected at 16.0, plus one period.
+    window_start = 16.0 + period
+    assert report.cost_window == (
+        pytest.approx(window_start), pytest.approx(80.55)
+    )
+    spans = (80.55 - window_start) / period
+    assert report.message_cost == pytest.approx({
+        ch: count / spans for ch, count in EXAMPLE_SENDS[period].items()
+    })
+    assert report.bound_value == 4.0 and report.bound_ok is True
 
 
-def _both(rows, period=None):
-    """Feed identical synthetic streams to both analyzers; assert parity
-    and hand back the (shared) report."""
-    online = IncrementalQoS()
-    offline = MemorySink()
+def _feed(online, rows):
     for t, kind, pid, data in rows:
         online.observe(t, kind, pid, **data)
-        offline.record(t, kind, pid, **data)
-    report = online.report(period=period)
-    assert report == qos_report(offline, period=period)
-    return report
+
+
+def _report(rows, period=None):
+    """Fold a synthetic stream through the engine and hand back its
+    report."""
+    online = IncrementalQoS()
+    _feed(online, rows)
+    return online.report(period=period)
 
 
 _FD = "fd"
@@ -184,7 +212,7 @@ def test_crash_arriving_later_in_the_stream_voids_the_mistake():
     # Observer 1 suspects 2 at t=2.0; the crash record (t=1.0, from
     # another stream) only arrives afterwards.  The suspicion was
     # correct all along: no mistake may survive report-time screening.
-    report = _both([
+    report = _report([
         _fd(0.5, 1, (), 0),
         _fd(2.0, 1, (2,), 0),
         (1.0, "crash", 2, {}),
@@ -198,7 +226,7 @@ def test_crash_mid_mistake_truncates_it_at_the_crash():
     # Suspecting a live process is a mistake from t=1.0 — but once the
     # suspect dies at t=3.0 the suspicion becomes correct, so the
     # mistake ends there, not at the t=5.0 retraction.
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         (3.0, "crash", 2, {}),
@@ -209,7 +237,7 @@ def test_crash_mid_mistake_truncates_it_at_the_crash():
 
 
 def test_never_retracted_mistake_closes_at_the_crash():
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         (3.0, "crash", 2, {}),
@@ -220,7 +248,7 @@ def test_never_retracted_mistake_closes_at_the_crash():
 
 
 def test_never_retracted_mistake_without_a_crash_stays_open():
-    report = _both([
+    report = _report([
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         _fd(6.0, 1, (2,), 0),
@@ -237,21 +265,23 @@ def test_message_cost_counts_match_with_interleaved_sends():
             "channel": "fdp", "src": i % 3, "dst": (i + 1) % 3,
         }))
     rows.append(_fd(4.2, 1, (), 0))
-    report = _both(rows, period=0.5)
-    assert report.message_cost["fdp"] is not None
-    assert report.bound_ok is not None
+    report = _report(rows, period=0.5)
+    # No leader settles (p0 and p2 never output), so the window opens
+    # one period in: the 36 sends from t=0.5 on, over 7.4 periods.
+    assert report.cost_window == (0.5, 4.2)
+    assert report.message_cost == {"fdp": pytest.approx(36 / 7.4)}
+    assert report.bound_ok is True
 
 
 def test_snapshot_tracks_the_running_state():
     online = IncrementalQoS()
-    for t, kind, pid, data in [
+    _feed(online, [
         _fd(0.0, 1, (), 0),
         _fd(1.0, 1, (2,), 0),
         (2.0, "crash", 0, {}),
         (2.5, "send", 1, {"channel": "fdp", "src": 1, "dst": 2}),
         (3.0, "span.reply", 1, {"span": "c1.1", "status": "ok"}),
-    ]:
-        online.observe(t, kind, pid, **data)
+    ])
     snap = online.snapshot()
     assert snap["n"] == 3
     assert snap["end_time"] == 3.0
@@ -262,6 +292,78 @@ def test_snapshot_tracks_the_running_state():
     assert snap["span_replies"] == 1
     assert snap["sends"] == {"fdp": 1}
     assert snap["kinds"]["fd"] == 2
+    # Suspecting the already-crashed p0 is no mistake, in the watch
+    # table as in the report: the counts are the report's.
+    _feed(online, [_fd(3.5, 1, (0, 2), 0), _fd(3.5, 2, (0,), 1)])
+    assert online.report().mistakes == [Mistake(1, 2, 1.0, None)]
+    snap = online.snapshot()
+    assert snap["open_mistakes"] == 1 and snap["closed_mistakes"] == 0
+    # p1's mistake ends when p2 crashes: closed, not open.
+    _feed(online, [(4.0, "crash", 2, {})])
+    assert online.report().mistakes == [Mistake(1, 2, 1.0, 4.0)]
+    snap = online.snapshot()
+    assert snap["open_mistakes"] == 0 and snap["closed_mistakes"] == 1
+
+
+#: One node's own stream: per step a time advance, then either an ``fd``
+#: output (suspected set, trusted) or a network send to some peer.
+_NODE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+        st.one_of(
+            st.tuples(
+                st.just("fd"),
+                st.frozensets(st.integers(0, 3), max_size=3),
+                st.one_of(st.none(), st.integers(0, 3)),
+            ),
+            st.tuples(
+                st.just("send"),
+                st.sampled_from(["fdp", "fd.omega"]),
+                st.integers(0, 3),
+            ),
+        ),
+    ),
+    max_size=10,
+)
+
+
+def _node_stream(pid, steps, crashes):
+    """Rows of node *pid*'s stream, in its own order; a crashing node's
+    stream ends with its ``crash`` event."""
+    rows, t = [], 0.0
+    for advance, (kind, a, b) in steps:
+        t += advance
+        if kind == "fd":
+            rows.append(_fd(t, pid, a, b))
+        else:
+            rows.append((t, "send", pid, {"channel": a, "src": pid, "dst": b}))
+    if crashes:
+        rows.append((t + 0.5, "crash", pid, {}))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(_NODE_STEPS, min_size=4, max_size=4),
+    crashes=st.lists(st.booleans(), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_report_is_invariant_under_node_stream_interleaving(
+    steps, crashes, data
+):
+    """The collector ingests node streams in arrival order: any
+    interleaving that keeps each node's own order yields one report."""
+    streams = [
+        _node_stream(pid, steps[pid], crashes[pid]) for pid in range(4)
+    ]
+    order = data.draw(st.permutations(
+        [pid for pid, rows in enumerate(streams) for _ in rows]
+    ))
+    cursors = [iter(rows) for rows in streams]
+    interleaved = [next(cursors[pid]) for pid in order]
+    concatenated = [row for rows in streams for row in rows]
+    for period in (None, 0.5):
+        assert _report(interleaved, period) == _report(concatenated, period)
 
 
 # ------------------------------------------------------------ collector

@@ -93,3 +93,23 @@ def test_stop_before_start_is_a_safe_noop(tmp_path):
     asyncio.run(cluster.stop())
     asyncio.run(cluster.stop())  # idempotent
     assert cluster.exit_statuses == {}
+
+
+def test_merged_stream_ends_when_the_first_correct_node_stopped(tmp_path):
+    """Node 1 started 0.2 s after node 0, so it outlives it and suspects
+    the peer that exited; that teardown tail is not part of the run."""
+    cluster = ProcessCluster(2, workdir=tmp_path, duration=1.0)
+    for pid, epoch, events in (
+        (0, 100.0, [(0.5, "fd", 0), (0.99, "fd", 0)]),
+        (1, 100.2, [(0.5, "fd", 1), (0.95, "fd", 1)]),
+    ):
+        sink = JsonlSink(
+            cluster.trace_files[pid], node=pid,
+            epoch_wall=epoch, epoch_mono=epoch,
+        )
+        for time, kind, who in events:
+            sink.record(time, kind, who)
+        sink.close()
+    assert cluster.run_end() == pytest.approx(1.0)
+    times = [ev.time for ev in cluster.traces().events]
+    assert times == pytest.approx([0.5, 0.7, 0.99])
